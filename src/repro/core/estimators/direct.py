@@ -105,9 +105,10 @@ class RewardModelFolder:
 
     Ridge regression is itself a reduction: the per-action Gram matrix
     ``ΣX'X`` and moment vector ``ΣX'y`` are sums over rows, so the
-    chunked file driver folds them during its discovery pass and solves
-    once at the end — the same normal equations :meth:`RewardModel.fit`
-    solves, up to float reassociation of the sums.
+    chunked file driver folds them during its read-and-validate pass
+    and solves once at the end — the same normal equations
+    :meth:`RewardModel.fit` solves, up to float reassociation of the
+    sums.
     """
 
     def __init__(
@@ -124,16 +125,21 @@ class RewardModelFolder:
 
     def fold_rows(
         self,
-        contexts,
+        phi: np.ndarray,
         actions: np.ndarray,
         rewards: np.ndarray,
     ) -> None:
-        """Fold one chunk of (context, action, reward) rows."""
+        """Fold one chunk of rows.
+
+        ``phi`` is the chunk's hashed context matrix under
+        :attr:`featurizer` (for instance
+        :meth:`~repro.core.columns.ContextColumns.hashed_matrix`), one
+        row per (action, reward) pair.
+        """
         actions = np.asarray(actions)
         rewards = np.asarray(rewards, dtype=float)
         if actions.size == 0:
             return
-        phi = self.featurizer.matrix(list(contexts))
         for action in np.unique(actions):
             mask = actions == action
             X = phi[mask]

@@ -132,7 +132,7 @@ class WeightStats:
     running maximum, the match count, and — because a quantile is not a
     sum — the largest ``tail_k`` weights seen so far.  ``tail_k`` is
     sized from the *total* row count (known up front by every driver:
-    ``len(dataset)`` in memory, the discovery pass for files) as
+    ``len(dataset)`` in memory, the read-and-validate pass for files) as
     ``N − floor(0.99·(N−1))``, the exact number of weights at or above
     the q99 order statistic; keeping that many per partial state makes
     the merged q99 exact for any merge tree.

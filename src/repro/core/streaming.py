@@ -127,8 +127,7 @@ class ValidatedInteractionStream:
     mode the first defect raises; ``quarantine``/``repair`` keep going.
     Pass an explicit ``quarantine`` to aggregate across streams or to
     opt out of metrics mirroring
-    (``Quarantine(record_metrics=False)`` — the chunked engine's
-    discovery pass does, so two-pass runs count each defect once).
+    (``Quarantine(record_metrics=False)``).
     """
 
     def __init__(
