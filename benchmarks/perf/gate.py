@@ -52,7 +52,6 @@ GATED_METRICS = (
     ("single-policy IPS speedup", ("single_policy_ips", "speedup")),
     ("class-search speedup", ("class_search", "speedup")),
     ("chunked relative throughput", ("chunked", "relative_throughput")),
-    ("shared relative throughput", ("shared", "relative_throughput")),
     ("parallel bootstrap speedup", ("bootstrap", "parallel_speedup")),
     (
         "instrumentation relative throughput",

@@ -62,8 +62,6 @@ ROUNDS = 1 if SMOKE else 3
 CHUNK_SIZE = 512 if SMOKE else 8_192
 N_BOOT = 400 if SMOKE else 4_000
 BOOT_WORKERS = 4
-#: Workers for the shared-memory parallel fold benchmark.
-SHARED_WORKERS = 4
 #: Acceptance gate (full mode only): vectorized class search must beat
 #: the scalar path by at least this factor in throughput.
 MIN_SPEEDUP = 10.0
@@ -243,70 +241,16 @@ class TestChunkedBackend:
         }
 
 
-class TestSharedBackend:
-    """Shared-memory parallel fold vs the serial chunked plan.
-
-    Workers attach the packed columns zero-copy, so the per-task
-    payload is a descriptor instead of pickled rows.  Wall-clock gains
-    require real cores: the artifact records ``cpu_count`` next to the
-    ratio so single-core runner numbers (where process scheduling
-    overhead dominates and the ratio sits below 1) aren't mistaken for
-    an engine regression.  Results are asserted bit-identical to the
-    serial chunked plan in the same breath.
-    """
-
-    def test_bench_ips_shared(self, workload, benchmark):
-        from repro.core import pool as worker_pool
-        from repro.core.engine import use_backend
-
-        log, _, _, _, policy = workload
-        estimator = IPSEstimator(backend="shared")
-        log.columns().shared_block()  # pack + pool spin-up out of band
-        worker_pool.get_pool(SHARED_WORKERS)
-        try:
-            with use_backend(
-                "shared", chunk_size=CHUNK_SIZE, workers=SHARED_WORKERS
-            ):
-                seconds = _timed(
-                    benchmark, lambda: estimator.estimate(policy, log)
-                )
-                shared_result = estimator.estimate(policy, log)
-            with use_backend("chunked", chunk_size=CHUNK_SIZE):
-                chunked_result = IPSEstimator(backend="chunked").estimate(
-                    policy, log
-                )
-            assert shared_result.value == chunked_result.value, (
-                "shared backend must be bit-identical to chunked"
-            )
-        finally:
-            log.columns().release_shared_block()
-        RESULTS["single_shared"] = {
-            "n": len(log),
-            "chunk_size": CHUNK_SIZE,
-            "workers": SHARED_WORKERS,
-            "cpu_count": os.cpu_count(),
-            "seconds": seconds,
-            "interactions_per_sec": len(log) / seconds,
-        }
-
-
 class TestShardedBootstrap:
     """Seeded sharded bootstrap: serial vs process-parallel replicates.
 
     Shard RNGs are keyed ``(seed, shard)`` so both paths produce
     bit-identical intervals; the artifact records the wall-clock ratio
     plus ``cpu_count`` (on single-core runners the "speedup" is ≤1 —
-    process overhead with no parallelism to buy).  The artifact also
-    records the per-shard pickle payload before and after the
-    shared-memory transport: the legacy path shipped the full term
-    vector to every shard, the shared path ships a descriptor-sized
-    tuple.
+    process overhead with no parallelism to buy).
     """
 
     def test_bench_bootstrap_serial_vs_parallel(self, workload, benchmark):
-        import pickle
-
-        from repro.core import shm
         from repro.core import pool as worker_pool
 
         log, _, _, _, policy = workload
@@ -320,11 +264,13 @@ class TestShardedBootstrap:
                 terms, n_boot=N_BOOT, seed=13, workers=1
             ),
         )
-        # Spin-up and first-attach out of the timed region, then take
-        # the best of ROUNDS — symmetric with the serial measurement.
+        # Worker spin-up out of the timed region (one shard per worker,
+        # so the warm-up really runs on the pool), then take the best
+        # of ROUNDS — symmetric with the serial measurement.
         worker_pool.get_pool(BOOT_WORKERS)
         bootstrap_interval_from_terms(
-            terms, n_boot=BOOTSTRAP_SHARD, seed=13, workers=BOOT_WORKERS
+            terms, n_boot=BOOTSTRAP_SHARD * BOOT_WORKERS, seed=13,
+            workers=BOOT_WORKERS,
         )
         parallel_durations: list[float] = []
         for _ in range(ROUNDS):
@@ -340,20 +286,6 @@ class TestShardedBootstrap:
         assert parallel_interval == serial_interval, (
             "parallel bootstrap must be bit-identical to serial"
         )
-
-        # Per-shard payload: what one shard task pickles through the
-        # pool, before (full term vector per shard) vs after (job key +
-        # once-pickled descriptor blob + counters).
-        legacy_bytes = len(pickle.dumps((terms, 256, 13, 0)))
-        shared_bytes = None
-        if shm.available():
-            with shm.SharedArrayBlock.create({"terms": terms}) as block:
-                job_key, blob = worker_pool.new_job(
-                    (("terms",), block.descriptor)
-                )
-                shared_bytes = len(
-                    pickle.dumps((job_key, blob, 256, 13, 0, False))
-                )
         RESULTS["bootstrap"] = {
             "n": len(terms),
             "n_boot": N_BOOT,
@@ -362,10 +294,6 @@ class TestShardedBootstrap:
             "serial_seconds": serial_seconds,
             "parallel_seconds": parallel_seconds,
             "parallel_speedup": serial_seconds / parallel_seconds,
-            "per_shard_pickle_bytes": {
-                "before": legacy_bytes,
-                "after": shared_bytes,
-            },
         }
 
 
@@ -950,7 +878,6 @@ class TestThroughputArtifact:
             "class_vectorized",
             "class_scalar",
             "single_chunked",
-            "single_shared",
             "bootstrap",
             "instrumentation",
             "obs_monitor",
@@ -971,10 +898,6 @@ class TestThroughputArtifact:
         )
         chunked_relative = (
             RESULTS["single_chunked"]["interactions_per_sec"]
-            / RESULTS["single_vectorized"]["interactions_per_sec"]
-        )
-        shared_relative = (
-            RESULTS["single_shared"]["interactions_per_sec"]
             / RESULTS["single_vectorized"]["interactions_per_sec"]
         )
         artifact = {
@@ -1000,10 +923,6 @@ class TestThroughputArtifact:
             "chunked": {
                 "single": RESULTS["single_chunked"],
                 "relative_throughput": chunked_relative,
-            },
-            "shared": {
-                "single": RESULTS["single_shared"],
-                "relative_throughput": shared_relative,
             },
             "bootstrap": RESULTS["bootstrap"],
             "instrumentation": RESULTS["instrumentation"],
@@ -1045,28 +964,12 @@ class TestThroughputArtifact:
                 ],
                 [
                     (
-                        f"shared fold x{RESULTS['single_shared']['workers']}"
-                        f" workers ({RESULTS['single_shared']['cpu_count']}"
-                        " cpu)"
-                    ),
-                    "-",
-                    f"{RESULTS['single_shared']['interactions_per_sec']:.0f}",
-                    f"{shared_relative:.2f}x",
-                ],
-                [
-                    (
                         f"bootstrap x{RESULTS['bootstrap']['workers']}"
                         f" workers ({RESULTS['bootstrap']['cpu_count']} cpu)"
                     ),
                     f"{RESULTS['bootstrap']['serial_seconds']:.3f}s",
                     f"{RESULTS['bootstrap']['parallel_seconds']:.3f}s",
                     f"{RESULTS['bootstrap']['parallel_speedup']:.2f}x",
-                ],
-                [
-                    "bootstrap per-shard pickle bytes",
-                    str(RESULTS["bootstrap"]["per_shard_pickle_bytes"]["before"]),
-                    str(RESULTS["bootstrap"]["per_shard_pickle_bytes"]["after"]),
-                    "-",
                 ],
                 [
                     "instrumented IPS (vs plain)",

@@ -17,18 +17,15 @@ a harvested JSONL exploration log from the shell::
 columnar batch path; ``scalar`` walks the log row by row; ``chunked``
 streams the file through the reduction kernel in O(chunk) memory —
 the only path that never loads the log, so it handles files larger
-than RAM (tune with ``--chunk-size`` and fold chunks in parallel with
-``--workers``); ``shared`` loads the log once, places the columns in
-a shared-memory segment, and folds chunk slices across the persistent
-worker pool with zero-copy attach (``--workers``-parallel,
-bit-identical to ``vectorized``).  Policies without a batch
-implementation fall back to the row loop with a one-time warning per
-policy type.
+than RAM (tune with ``--chunk-size``).  Every backend evaluates in one
+process.  Policies without a batch implementation fall back to the row
+loop with a one-time warning per policy type.
 
 ``--bootstrap N`` adds a percentile-bootstrap confidence interval on
 the IPS terms of every policy; with ``--seed`` the replicates are
 generated by the sharded deterministic scheme, so reruns — serial or
-``--workers``-parallel — reproduce the same interval bit-for-bit.
+spread over ``--workers`` processes — reproduce the same interval
+bit-for-bit.  ``--workers`` drives nothing else in ``evaluate``.
 
 Observability (see :mod:`repro.obs`): ``--trace`` records a span tree
 over the run and prints the top spans by wall time; ``--metrics-out
@@ -70,7 +67,6 @@ from repro.core.engine import (
     evaluate_jsonl_chunked,
     set_chunk_size,
     set_default_backend,
-    set_workers,
 )
 from repro.core.estimators.direct import DirectMethodEstimator
 from repro.core.estimators.doubly_robust import DoublyRobustEstimator
@@ -470,12 +466,21 @@ def _emit_observability(
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 1
+    if args.chunk_size is not None and args.chunk_size < 1:
+        print("error: --chunk-size must be >= 1", file=sys.stderr)
+        return 1
+    if args.bootstrap != 0 and args.bootstrap < 10:
+        print("error: --bootstrap must be 0 (off) or >= 10",
+              file=sys.stderr)
+        return 1
     # The flags set the process-wide defaults, so everything downstream —
     # estimators, bootstrap, model fitting — follows them uniformly.
     set_default_backend(args.backend)
     if args.chunk_size is not None:
         set_chunk_size(args.chunk_size)
-    set_workers(args.workers)
     try:
         policies = [parse_policy(spec) for spec in args.policy] or [
             UniformRandomPolicy()
@@ -1144,25 +1149,24 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default="vectorized",
         help="evaluation engine: columnar batch path (vectorized, default), "
-        "per-row reference loop (scalar), out-of-core streaming folds "
-        "(chunked — the only path that never loads the whole log), or "
-        "shared-memory parallel folds (shared — zero-copy workers)",
+        "per-row reference loop (scalar), or out-of-core streaming folds "
+        "(chunked — the only path that never loads the whole log)",
     )
     evaluate.add_argument(
         "--chunk-size",
         type=int,
         default=None,
         metavar="N",
-        help="rows per fold on the chunked/shared backends (default 8192)",
+        help="rows per fold on the chunked backend (default 8192)",
     )
     evaluate.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="W",
-        help="worker processes for chunked/shared folding and seeded "
-        "bootstrap resampling (default 1 = serial; results are identical "
-        "either way)",
+        help="worker processes for seeded bootstrap resampling "
+        "(--bootstrap with --seed; default 1 = serial; the interval is "
+        "identical either way)",
     )
     evaluate.add_argument(
         "--seed",
@@ -1178,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="B",
         help="print a percentile-bootstrap CI on each policy's IPS terms "
-        "from B replicates (default 0 = off)",
+        "from B >= 10 replicates (default 0 = off)",
     )
     evaluate.add_argument(
         "--mode",

@@ -19,19 +19,20 @@ n_boot, len(terms))`` — the same shards can be computed serially or
 fanned across a worker pool and concatenated in shard order, and the
 resulting percentile interval is *bit-for-bit identical* either way
 (asserted by ``tests/core/test_bootstrap.py``).  Parallel runs go
-through the persistent pool (:mod:`repro.core.pool`) with the term
-vectors placed in a shared-memory segment (:mod:`repro.core.shm`), so
-each shard's payload is a ~100-byte tuple instead of a pickled copy
-of the full term vector.  Passing an explicit ``rng`` instead of a
-``seed`` keeps the historical single-stream behavior, which cannot be
-parallelized deterministically.
+through the persistent pool (:mod:`repro.core.pool`); each shard's
+payload carries its own pickled copy of the term vectors, which costs
+less than the resampling it feeds.  This is the one evaluation step
+that runs across processes, because resampling is CPU-bound work that
+scales with workers (DESIGN.md, "The worker pool", has the
+measurement).  Passing an explicit ``rng`` instead of a ``seed`` keeps
+the historical single-stream behavior, which cannot be parallelized
+deterministically.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
@@ -116,77 +117,25 @@ def _traced_shard(item):
     return replicates, time.perf_counter() - start, span_dict, profile_dict
 
 
-#: Array names per shard kind; order matches the shard function's
-#: positional static arguments, so workers can rebuild them by name.
-_SHARD_KINDS = {
-    _mean_shard: ("terms",),
-    _ratio_shard: ("numerators", "weights"),
-}
-
-
-def _shm_shard_worker(payload):
-    """Run one shard against shared term vectors (worker process).
-
-    The payload carries only ``(job_key, blob, count, seed, shard,
-    traced, profiled)`` — the term vectors live in one shared segment
-    described by the job blob, attached once per worker and reused by
-    every shard of every bootstrap call that shares the block.
-    Delegates to :func:`_traced_shard` so timing, spans, and profiles
-    match the legacy path.
-    """
-    job_key, blob, count, seed, shard, traced, profiled = payload
-    from repro.core import shm
-
-    kind, descriptor = worker_pool.job_payload(job_key, blob)
-    views = shm.attach_arrays(descriptor)
-    shard_fn = _mean_shard if kind == ("terms",) else _ratio_shard
-    args = tuple(views[name] for name in kind) + (count, seed, shard)
-    return _traced_shard((shard_fn, args, traced, profiled))
-
-
 def _parallel_shard_outcomes(
     shard_fn, static_args, payloads, workers, traced, profiled
 ):
     """Fan the shards across the persistent pool; ``None`` on failure.
 
-    Shares the static term vectors through one shared-memory segment
-    when available (per-shard payloads shrink from the full term
-    vector to a ~100-byte tuple); otherwise ships legacy pickled
-    payloads through the same pool.  A broken pool (killed worker)
-    resets the pool and returns ``None`` — the caller recomputes
-    serially, which is bit-identical by construction.
+    Each task pickles the static term vectors along with its shard's
+    ``(count, seed, shard)``.  A broken pool (killed worker) resets the
+    pool and returns ``None`` — the caller recomputes serially, which
+    is bit-identical by construction.
     """
-    from repro.core import shm
-
-    block = None
-    items = None
-    if shm.available():
-        try:
-            kind = _SHARD_KINDS[shard_fn]
-            block = shm.SharedArrayBlock.create(
-                OrderedDict(zip(kind, static_args))
-            )
-            job_key, blob = worker_pool.new_job((kind, block.descriptor))
-            items = [
-                (
-                    _shm_shard_worker,
-                    (job_key, blob) + tail + (traced, profiled),
-                )
-                for tail in payloads
-            ]
-        except Exception:
-            if block is not None:
-                block.release()
-            block = None
-            items = None
-    if items is None:
-        items = [
-            (_traced_shard, (shard_fn, static_args + tail, traced, profiled))
-            for tail in payloads
-        ]
     try:
         executor = worker_pool.get_pool(workers)
-        futures = [executor.submit(fn, payload) for fn, payload in items]
+        futures = [
+            executor.submit(
+                _traced_shard,
+                (shard_fn, static_args + tail, traced, profiled),
+            )
+            for tail in payloads
+        ]
         return [future.result() for future in futures]
     except BrokenProcessPool:
         worker_pool.reset_pool()
@@ -197,9 +146,6 @@ def _parallel_shard_outcomes(
             stacklevel=3,
         )
         return None
-    finally:
-        if block is not None:
-            block.release()
 
 
 def _sharded_replicates(
@@ -212,8 +158,8 @@ def _sharded_replicates(
     for any ``workers`` value.  Every shard lands a
     ``bootstrap.shard`` span (worker shards are serialized home) and
     feeds the ``bootstrap.shard_seconds`` histogram.  Parallel runs go
-    through the persistent worker pool with the term vectors in shared
-    memory (see :func:`_parallel_shard_outcomes`).
+    through the persistent worker pool (see
+    :func:`_parallel_shard_outcomes`).
     """
     tracer = get_tracer()
     metrics = get_metrics()

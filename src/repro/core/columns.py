@@ -152,9 +152,8 @@ class ContextColumns:
         self._row_index = np.arange(n)
         self._feature_matrices: dict[tuple[str, ...], np.ndarray] = {}
         self._hashed_matrices: dict[int, tuple[object, np.ndarray]] = {}
-        # Dataset-level memos (see shared_block / ips_weights); kept at
-        # this level so every construction path initializes them.
-        self._shared_block = None
+        # Dataset-level memo (see ips_weights); kept at this level so
+        # every construction path initializes it.
         self._ips_weight_cache: dict[int, tuple[object, np.ndarray]] = {}
 
     # -- memoized featurizations -------------------------------------------
@@ -585,32 +584,6 @@ class DatasetColumns(ContextColumns):
             return weights
         return entry[1]
 
-    # -- shared-memory bridge ------------------------------------------------
-
-    def shared_block(self):
-        """This view packed into a shared segment, built once and reused.
-
-        Returns a :class:`repro.core.shm.SharedArrayBlock` whose
-        descriptor workers attach zero-copy; raises
-        :class:`repro.core.shm.SharedMemoryUnsupported` when the view
-        cannot be packed (callers fall back to pickled payloads).  The
-        block is owned by this process and lives until
-        :meth:`release_shared_block` (or process exit) — the point is
-        that every parallel fold and bootstrap against this log reuses
-        one segment.
-        """
-        if self._shared_block is None or self._shared_block.released:
-            from repro.core import shm
-
-            self._shared_block = shm.pack_columns(self)
-        return self._shared_block
-
-    def release_shared_block(self) -> None:
-        """Unlink this view's shared segment, if one was created."""
-        block, self._shared_block = self._shared_block, None
-        if block is not None:
-            block.release()
-
 
 class PackedContexts(Sequence):
     """Contexts packed as dense matrices over a key vocabulary.
@@ -991,7 +964,6 @@ class ColumnsSlice(DatasetColumns):
         self._row_index = np.arange(n)
         self._feature_matrices = {}
         self._hashed_matrices = {}
-        self._shared_block = None
         self._ips_weight_cache = {}
         self.actions = parent.actions[start:stop]
         self.rewards = parent.rewards[start:stop]
@@ -1017,9 +989,8 @@ class ColumnsSlice(DatasetColumns):
     def feature_matrix(self, feature_names) -> np.ndarray:
         """Named-feature matrix for this slice, reusing parent memos.
 
-        A parent-cached (or cheaply gatherable, for shared-memory
-        parents) whole-log matrix is sliced as a view; otherwise the
-        matrix is computed over just this slice's rows — identical
+        A parent-cached whole-log matrix is sliced as a view; otherwise
+        the matrix is computed over just this slice's rows — identical
         values either way, since both paths read the same contexts.
         """
         key = tuple(feature_names)
@@ -1027,12 +998,6 @@ class ColumnsSlice(DatasetColumns):
         if cached is not None:
             return cached
         parent_matrix = self._parent._feature_matrices.get(key)
-        if parent_matrix is None and isinstance(
-            self._parent.contexts, PackedContexts
-        ):
-            # Packed parents gather the whole matrix vectorized;
-            # memoizing it there lets every later slice reuse it.
-            parent_matrix = self._parent.feature_matrix(key)
         if parent_matrix is not None:
             cached = parent_matrix[self._start:self._stop]
         else:

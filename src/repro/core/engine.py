@@ -21,15 +21,14 @@ them drivers over the same reduction kernel
   of the whole-log columns, so chunking costs slicing, not per-chunk
   reconstruction.  :func:`evaluate_jsonl_chunked` extends it to logs
   that never fit in memory at all: it parses the JSONL once into a
-  temporary column spill and folds from there, optionally in parallel
-  worker processes.
-- ``"shared"`` — the multi-process engine: the chunked fold plan
-  executed across the persistent worker pool (:mod:`repro.core.pool`),
-  with the columnar data living in one shared-memory segment
-  (:mod:`repro.core.shm`) that workers attach zero-copy.  Each task
-  payload is a compact descriptor plus slice bounds — no row data is
-  ever pickled.  Falls back to the serial chunked plan (bit-identical)
-  whenever the data cannot be shared or the pool breaks.
+  temporary column spill and folds from there.
+
+Every path runs in one process.  Reading and validating the log is
+serial and takes nearly all of an evaluation's time, and folding from
+the spill costs well under a microsecond per row, so fanning folds out
+to worker processes has nothing left to speed up; the one evaluation
+step that does run across processes is the seeded bootstrap
+(:mod:`repro.core.bootstrap`).
 
 The paths agree to floating-point reassociation (asserted by
 ``tests/core/test_batch_equivalence.py`` and
@@ -46,23 +45,19 @@ process-wide default plus a context manager for scoped switches.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import warnings
-from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.core import pool as worker_pool
-from repro.core.pool import BrokenProcessPool
 from repro.obs.metrics import get_metrics
 from repro.obs.monitors import get_monitors
 from repro.obs.tracing import get_tracer
 
 #: The recognized backend names.
-BACKENDS = ("scalar", "vectorized", "chunked", "shared")
+BACKENDS = ("scalar", "vectorized", "chunked")
 
 _default_backend = "vectorized"
 
@@ -71,9 +66,6 @@ _default_backend = "vectorized"
 #: tens of megabytes — comfortably inside any address-space budget
 #: while still amortizing NumPy dispatch overhead.
 _default_chunk_size = 8192
-
-#: Worker processes folding chunks on the chunked backend; 1 = serial.
-_default_workers = 1
 
 #: Policy types already warned about missing a batch implementation.
 _warned_fallback_types: set = set()
@@ -116,45 +108,27 @@ def set_chunk_size(chunk_size: int) -> None:
     _default_chunk_size = int(chunk_size)
 
 
-def get_workers() -> int:
-    """Worker processes used by chunked folding (1 = in-process)."""
-    return _default_workers
-
-
-def set_workers(workers: int) -> None:
-    """Set the process-wide worker count for chunked folding."""
-    global _default_workers
-    if int(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    _default_workers = int(workers)
-
-
 @contextmanager
 def use_backend(
-    name: str,
-    *,
-    chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
+    name: str, *, chunk_size: Optional[int] = None
 ) -> Iterator[str]:
     """Temporarily switch the default backend within a ``with`` block.
 
-    ``chunk_size`` and ``workers`` scope the chunked backend's knobs
-    alongside it.  On exit the previous defaults are restored and the
+    ``chunk_size`` scopes the chunked backend's chunk size alongside
+    it.  On exit the previous defaults are restored and the
     per-policy-type fallback-warning memory is cleared, so a scoped
     backend switch cannot leak warning-suppression state into later
     code (or, in test suites, into later tests).
     """
-    global _default_backend, _default_chunk_size, _default_workers
-    previous = (_default_backend, _default_chunk_size, _default_workers)
+    global _default_backend, _default_chunk_size
+    previous = (_default_backend, _default_chunk_size)
     _default_backend = _check(name)
     if chunk_size is not None:
         set_chunk_size(chunk_size)
-    if workers is not None:
-        set_workers(workers)
     try:
         yield _default_backend
     finally:
-        _default_backend, _default_chunk_size, _default_workers = previous
+        _default_backend, _default_chunk_size = previous
         _warned_fallback_types.clear()
 
 
@@ -200,7 +174,7 @@ reset_fallback_warnings = reset_backend_warnings
 
 
 # ---------------------------------------------------------------------------
-# in-memory chunked folding: slice views, optionally across the pool
+# in-memory chunked folding over slice views
 
 
 def fold_dataset_chunked(
@@ -209,190 +183,27 @@ def fold_dataset_chunked(
     dataset,
     *,
     chunk_size: Optional[int] = None,
-    workers: int = 1,
 ):
     """Fold a dataset through ``reduction`` in fixed-size chunk slices.
 
-    The driver behind the in-memory ``"chunked"`` and ``"shared"``
-    backends.  Chunks are zero-copy
-    :class:`~repro.core.columns.ColumnsSlice` views over the dataset's
-    cached whole-log columns (which the chunked plan builds anyway for
-    its reduction context), so no per-chunk reconstruction happens.
-    With ``workers > 1`` the slices fold across the persistent worker
-    pool against a shared-memory copy of the columns; any failure to
-    share (unpackable data, unpicklable reduction, a broken pool)
-    falls back to the serial plan, which is bit-identical because
-    ``merge`` is exactly how ``fold`` accumulates.
+    The driver behind the in-memory ``"chunked"`` backend.  Chunks are
+    zero-copy :class:`~repro.core.columns.ColumnsSlice` views over the
+    dataset's cached whole-log columns (which the chunked plan builds
+    anyway for its reduction context), so no per-chunk reconstruction
+    happens.
     """
     from repro.core.columns import iter_column_slices
 
     chunk_size = chunk_size if chunk_size is not None else get_chunk_size()
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    columns = dataset.columns()
-    if workers > 1 and columns.n > chunk_size:
-        chunk_states = _fold_columns_parallel(
-            reduction, columns, chunk_size, workers
-        )
-        if chunk_states is not None:
-            for chunk_state in chunk_states:
-                state = reduction.merge(state, chunk_state)
-            return state
-    for chunk in iter_column_slices(columns, chunk_size):
+    for chunk in iter_column_slices(dataset.columns(), chunk_size):
         state = reduction.fold(state, chunk)
     return state
 
 
-def _fold_columns_parallel(reduction, columns, chunk_size, workers):
-    """Fold slices of a shared-memory block across the worker pool.
-
-    Returns the chunk states in chunk order, or ``None`` when the data
-    cannot be shared, the reduction is unpicklable, or the pool broke
-    mid-run — the caller then recomputes serially (bit-identical).
-    The columns' shared block is memoized on the columns object, so a
-    class search fanning many reductions over one log packs the
-    segment exactly once.
-    """
-    from repro.core import shm
-
-    if not shm.available():
-        return None
-    try:
-        block = columns.shared_block()
-    except shm.SharedMemoryUnsupported:
-        return None
-    try:
-        job_key, blob = worker_pool.new_job((block.descriptor, reduction))
-    except Exception as error:
-        warnings.warn(
-            "shared backend falling back to serial folding: work items "
-            f"are not picklable ({error})",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return None
-    tracer = get_tracer()
-    metrics = get_metrics()
-    bounds = [
-        (start, min(start + chunk_size, columns.n))
-        for start in range(0, columns.n, chunk_size)
-    ]
-    try:
-        executor = worker_pool.get_pool(workers)
-        futures = [
-            executor.submit(
-                _fold_slice_worker,
-                (job_key, blob, start, stop, index, tracer.enabled),
-            )
-            for index, (start, stop) in enumerate(bounds)
-        ]
-        outcomes = [future.result() for future in futures]
-    except BrokenProcessPool:
-        worker_pool.reset_pool()
-        warnings.warn(
-            "worker pool died mid-fold; recomputing serially "
-            "(results are unaffected)",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return None
-    fold_seconds = metrics.histogram("engine.chunk_fold_seconds")
-    fold_count = metrics.counter("engine.chunk_folds")
-    chunk_states = []
-    for chunk_state, seconds, span_dict in outcomes:
-        fold_seconds.observe(seconds)
-        fold_count.inc()
-        if span_dict is not None:
-            tracer.attach(span_dict)
-        chunk_states.append(chunk_state)
-    return chunk_states
-
-
-def _fold_slice_worker(payload):
-    """Fold one slice of a shared columnar block (worker process).
-
-    The job blob (descriptor + reduction) is unpickled once per worker
-    and the segment attached once per worker — every subsequent slice
-    of the same job reuses both, which is what makes pool reuse cheap.
-    Traced tasks open a fresh per-task
-    :class:`~repro.obs.tracing.Tracer` and ship the span home, so
-    spans survive pool reuse without leaking state between tasks.
-    """
-    job_key, blob, start, stop, index, traced = payload
-    from repro.core import shm
-    from repro.core.columns import ColumnsSlice
-
-    descriptor, reduction = worker_pool.job_payload(job_key, blob)
-    columns = shm.attach_columns(descriptor)
-    if start == 0 and stop == columns.n:
-        chunk = columns
-    else:
-        chunk = ColumnsSlice(columns, start, stop)
-    span_dict = None
-    clock = time.perf_counter()
-    if traced:
-        from repro.obs.tracing import Tracer
-
-        tracer = Tracer()
-        with tracer.span(
-            "evaluate.chunk", index=index, rows=stop - start, worker=True
-        ):
-            state = reduction.fold(reduction.init_state(), chunk)
-        span_dict = tracer.span_tree()[0]
-    else:
-        state = reduction.fold(reduction.init_state(), chunk)
-    return state, time.perf_counter() - clock, span_dict
-
-
 # ---------------------------------------------------------------------------
 # out-of-core evaluation: read a JSONL log once, fold from its spill
-
-
-def _fold_spilled_chunk_worker(payload):
-    """Fold one spilled chunk into fresh states (worker process).
-
-    The payload is ``(job_key, blob, spill_path, where, index, traced)``:
-    the job blob (action space, reward range, reductions) is unpickled
-    once per worker and reused for every chunk of the job, and the
-    chunk itself is mapped from the parent's spill file by its
-    :class:`~repro.core.columns.SpilledChunk` location — no row data
-    crosses the process boundary.  Folding a chunk into a *fresh* state
-    and merging it later is bit-identical to folding it into the
-    accumulated state directly (``fold`` is merge-of-a-chunk-local
-    state), which is what makes parallel and serial runs agree exactly.
-
-    Returns the pickled ``(states, seconds, span_dict)``, pickled before
-    the chunk's mapping is dropped so no state can carry views into it.
-    Traced tasks open their own ``evaluate.chunk`` span and ship it
-    home, so the merged span tree covers every chunk.
-    """
-    job_key, blob, spill_path, where, index, traced = payload
-    from repro.core.columns import DatasetColumns, load_spilled_chunk
-
-    space, reward_range, reductions = worker_pool.job_payload(job_key, blob)
-    span_dict = None
-    clock = time.perf_counter()
-    columns = DatasetColumns.from_chunk(
-        load_spilled_chunk(spill_path, where), space, reward_range
-    )
-    if traced:
-        from repro.obs.tracing import Tracer
-
-        tracer = Tracer()
-        with tracer.span(
-            "evaluate.chunk", index=index, rows=columns.n, worker=True
-        ):
-            states = [
-                reduction.fold(reduction.init_state(), columns)
-                for reduction in reductions
-            ]
-        span_dict = tracer.span_tree()[0]
-    else:
-        states = [
-            reduction.fold(reduction.init_state(), columns)
-            for reduction in reductions
-        ]
-    return pickle.dumps((states, time.perf_counter() - clock, span_dict))
 
 
 class ChunkedEvaluation:
@@ -445,7 +256,6 @@ def evaluate_jsonl_chunked(
     estimators,
     *,
     chunk_size: Optional[int] = None,
-    workers: Optional[int] = None,
     mode: str = "strict",
     validator=None,
     action_space=None,
@@ -473,9 +283,7 @@ def evaluate_jsonl_chunked(
        global support pins chunk eligibility) and the
        :class:`~repro.core.validation.LogSnapshot` the run judges.
     2. **Fold** — map each spilled chunk back and fold every
-       (policy × estimator) reduction, serially or across ``workers``
-       processes that map the chunks themselves.  Chunk states merge in
-       chunk order, so parallel and serial runs agree bit-for-bit.
+       (policy × estimator) reduction, in chunk order.
 
     The log is never re-read, so rows appended while the run is in
     progress cannot leak into it: the result covers exactly the
@@ -496,12 +304,10 @@ def evaluate_jsonl_chunked(
     tracer the run produces an ``evaluate.jsonl`` span tree covering
     the read-and-validate pass (with its row accounting: lines read,
     rows accepted, quarantined and repaired, torn-tail bytes, and the
-    spill's size), every chunk fold (including folds executed in
-    worker processes, whose spans are merged home), and the finalize
-    step; under an active metrics registry it feeds the ``engine.*``
-    counters/histograms and the ``validation.*`` quarantine counters.
-    With the default no-op tracer/registry the overhead is
-    unmeasurable.
+    spill's size), every chunk fold, and the finalize step; under an
+    active metrics registry it feeds the ``engine.*`` counters and
+    histograms and the ``validation.*`` quarantine counters.  With the
+    default no-op tracer/registry the overhead is unmeasurable.
     """
     policies = list(policies)
     estimators = list(estimators)
@@ -519,7 +325,6 @@ def evaluate_jsonl_chunked(
             policies,
             estimators,
             chunk_size=chunk_size,
-            workers=workers,
             mode=mode,
             validator=validator,
             action_space=action_space,
@@ -536,7 +341,6 @@ def _evaluate_jsonl_chunked(
     estimators,
     *,
     chunk_size: Optional[int],
-    workers: Optional[int],
     mode: str,
     validator,
     action_space,
@@ -567,9 +371,6 @@ def _evaluate_jsonl_chunked(
     chunk_size = chunk_size if chunk_size is not None else get_chunk_size()
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    workers = workers if workers is not None else get_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if validator is None:
         validator = (
             RecordValidator()
@@ -649,16 +450,8 @@ def _evaluate_jsonl_chunked(
                 reductions.append(reduction)
 
         # -- pass 2: fold from the spill -----------------------------------
-        with tracer.span(
-            "evaluate.fold", chunk_size=chunk_size, workers=workers
-        ) as fold_span:
-            states = None
-            if workers > 1 and len(spill.chunks) > 1:
-                states = _fold_spill_parallel(
-                    spill, space, reward_range, reductions, workers
-                )
-            if states is None:
-                states = _fold_spill_serial(spill, space, reward_range, reductions)
+        with tracer.span("evaluate.fold", chunk_size=chunk_size) as fold_span:
+            states = _fold_spill_serial(spill, space, reward_range, reductions)
             fold_span.set(chunks=len(spill.chunks), rows=total_rows)
         n_chunks = len(spill.chunks)
     get_metrics().counter("engine.rows_ingested", backend="chunked").inc(
@@ -719,72 +512,4 @@ def _fold_spill_serial(spill, space, reward_range, reductions) -> list:
                 states[i] = reduction.fold(states[i], columns)
         fold_seconds.observe(time.perf_counter() - start)
         fold_count.inc()
-    return states
-
-
-def _fold_spill_parallel(spill, space, reward_range, reductions, workers):
-    """Fold spilled chunks across the worker pool; states, or ``None``.
-
-    Each task names a chunk of the spill file, which the worker maps
-    itself.  In-flight tasks are bounded to ``2 × workers`` so results
-    waiting to merge stay O(workers) however long the log is.  ``None``
-    (unpicklable work, or a pool that died mid-run) tells the caller to
-    fold serially instead — bit-identical, and cheap, since the spill
-    is already on disk.
-    """
-    try:
-        job_key, job_blob = worker_pool.new_job(
-            (space, reward_range, reductions)
-        )
-    except Exception as error:  # pragma: no cover - env-specific
-        warnings.warn(
-            "chunked evaluation falling back to serial folding: "
-            f"work items are not picklable ({error})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    tracer = get_tracer()
-    metrics = get_metrics()
-    fold_seconds = metrics.histogram("engine.chunk_fold_seconds")
-    fold_count = metrics.counter("engine.chunk_folds")
-    states = [reduction.init_state() for reduction in reductions]
-    in_flight: deque = deque()
-
-    def merge_one() -> None:
-        chunk_states, seconds, span_dict = pickle.loads(
-            in_flight.popleft().result()
-        )
-        fold_seconds.observe(seconds)
-        fold_count.inc()
-        if span_dict is not None:
-            tracer.attach(span_dict)
-        for i, reduction in enumerate(reductions):
-            states[i] = reduction.merge(states[i], chunk_states[i])
-
-    try:
-        executor = worker_pool.get_pool(workers)
-        for index, where in enumerate(spill.chunks):
-            in_flight.append(executor.submit(
-                _fold_spilled_chunk_worker,
-                (job_key, job_blob, spill.path, where, index, tracer.enabled),
-            ))
-            if len(in_flight) >= 2 * workers:
-                merge_one()
-        while in_flight:
-            merge_one()
-    except BrokenProcessPool:
-        worker_pool.reset_pool()
-        warnings.warn(
-            "chunked fold worker pool died; refolding serially "
-            "(results are unaffected)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    finally:
-        # On any failure, queued chunks must not start after the spill
-        # they read is gone.
-        for future in in_flight:
-            future.cancel()
     return states

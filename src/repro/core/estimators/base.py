@@ -79,11 +79,9 @@ class OffPolicyEstimator(ABC):
     :class:`~repro.core.columns.DatasetColumns` view shared on the
     dataset, ``"scalar"`` walks the log row by row, ``"chunked"``
     folds fixed-size chunk slices through the reduction kernel
-    (:mod:`repro.core.estimators.reductions`), ``"shared"`` folds the
-    same slices in parallel against a shared-memory copy of the
-    columns (:mod:`repro.core.shm`), and ``None`` (the default)
-    follows the process-wide default backend.  All paths compute the
-    same estimate bit-for-bit.
+    (:mod:`repro.core.estimators.reductions`), and ``None`` (the
+    default) follows the process-wide default backend.  All paths
+    compute the same estimate to floating-point reassociation.
     """
 
     name: str = "estimator"
@@ -116,11 +114,7 @@ class OffPolicyEstimator(ABC):
         (e.g. trajectory estimators) override this method wholesale.
         """
         self._require_data(dataset)
-        from repro.core.engine import (
-            fold_dataset_chunked,
-            get_chunk_size,
-            get_workers,
-        )
+        from repro.core.engine import fold_dataset_chunked, get_chunk_size
         from repro.core.estimators.reductions import (
             LogSummary,
             ReductionContext,
@@ -139,13 +133,9 @@ class OffPolicyEstimator(ABC):
             state = reduction.init_state()
             if backend == "scalar":
                 state = reduction.fold_scalar(state, dataset)
-            elif backend in ("chunked", "shared"):
+            elif backend == "chunked":
                 state = fold_dataset_chunked(
-                    reduction,
-                    state,
-                    dataset,
-                    chunk_size=get_chunk_size(),
-                    workers=get_workers() if backend == "shared" else 1,
+                    reduction, state, dataset, chunk_size=get_chunk_size()
                 )
             else:
                 state = reduction.fold(state, dataset.columns())

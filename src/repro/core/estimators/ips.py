@@ -19,10 +19,9 @@ All three estimators execute through the reduction kernel
 (see :mod:`repro.core.engine`): the vectorized path folds one
 whole-log chunk computed from a single
 :meth:`~repro.core.policies.Policy.probabilities_batch` call, the
-scalar path folds the per-row reference loop's output, the chunked
-path folds fixed-size zero-copy slices of the cached columns, and the
-shared path folds the same slices in parallel workers attached to a
-shared-memory copy of the columns.  Every derived quantity (terms,
+scalar path folds the per-row reference loop's output, and the
+chunked path folds fixed-size zero-copy slices of the cached columns.
+Every derived quantity (terms,
 match counts, clipping statistics, diagnostics accumulators) comes
 from a *single* weight pass per chunk.
 """
@@ -55,15 +54,15 @@ class IPSEstimator(OffPolicyEstimator):
     def match_weights(self, policy: Policy, dataset: Dataset) -> np.ndarray:
         """Per-interaction importance ratios ``π(a_t|x_t)/p_t``.
 
-        On the vectorized and shared backends the whole-log weight
-        vector is memoized on the dataset's columns
+        On the vectorized backend the whole-log weight vector is
+        memoized on the dataset's columns
         (:meth:`~repro.core.columns.DatasetColumns.ips_weights`), so a
         bootstrap fanning hundreds of replicates over one (policy, log)
         pair computes it exactly once.
         """
         self._require_data(dataset)
         backend = self.resolved_backend()
-        if backend in ("vectorized", "shared"):
+        if backend == "vectorized":
             return dataset.columns().ips_weights(policy)
         if backend == "chunked":
             from repro.core.columns import iter_column_slices

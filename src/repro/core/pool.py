@@ -1,18 +1,20 @@
-"""Persistent worker pool shared by chunk folds and bootstrap shards.
+"""Persistent worker pool shared by bootstrap shards and harvest shards.
 
-The parallel paths used to build a fresh ``ProcessPoolExecutor`` per
-call, paying fork/teardown for every evaluation and every bootstrap
-interval — and a fresh pool means fresh workers that re-attach every
-shared segment and re-unpickle every job.  This module keeps **one**
-lazily created executor for the whole process:
+Two callers fan work out to processes: the seeded bootstrap
+(:mod:`repro.core.bootstrap`), whose resampling is CPU-bound matrix
+work that scales with workers, and the
+:class:`~repro.core.coordinator.HarvestCoordinator`, whose shards
+re-derive their streams independently.  Evaluation folds stay in one
+process (see :mod:`repro.core.engine`).  Building a fresh
+``ProcessPoolExecutor`` per call would pay fork and teardown for every
+interval and every harvest, so this module keeps **one** lazily
+created executor for the whole process:
 
 - :func:`get_pool` returns the singleton, growing it (by recreating)
   when a caller asks for more workers than it was built with.
-- Workers cache job context (the once-pickled ``(reductions, …)``
-  blob) by job key via :func:`job_payload`, so a job's context crosses
-  the pickle machinery once per worker no matter how many chunks or
-  shards it spans; shared segments are likewise attached once per
-  worker (see :mod:`repro.core.shm`).
+- Workers cache job context (the once-pickled harvest job) by job key
+  via :func:`job_payload`, so a job's context crosses the pickle
+  machinery once per worker no matter how many shards it spans.
 - :func:`reset_pool` discards a broken executor (a killed worker
   poisons the whole pool — ``BrokenProcessPool``); callers then fall
   back to bit-identical serial recomputation.

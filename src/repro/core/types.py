@@ -264,10 +264,6 @@ class Dataset:
         if self._columns_cache is None or self._columns_version != self._version:
             from repro.core.columns import DatasetColumns
 
-            if self._columns_cache is not None:
-                # The stale view may own a shared-memory segment; unlink
-                # it now rather than waiting for interpreter exit.
-                self._columns_cache.release_shared_block()
             self._columns_cache = DatasetColumns.from_dataset(self)
             self._columns_version = self._version
         return self._columns_cache

@@ -1,56 +1,32 @@
-"""Worker-pool chaos: killed workers must not change results or leak.
+"""Worker-pool chaos: killed workers must not change results.
 
-A SIGKILLed worker poisons the whole ``ProcessPoolExecutor``
+A worker that dies mid-task poisons the whole ``ProcessPoolExecutor``
 (``BrokenProcessPool``).  The contract of :mod:`repro.core.pool` is
-that every parallel caller catches it, resets the pool, recomputes
-serially with *bit-identical* results, and releases every shared
-segment it created along the way — a crash costs wall time, never
-correctness and never ``/dev/shm``.
+that every parallel caller catches it, resets the pool and recomputes
+serially with *bit-identical* results — a crash costs wall time, never
+correctness.
 """
 
 import os
-import signal
 
-import multiprocessing
 import numpy as np
 import pytest
 
 from repro.core import pool as worker_pool
-from repro.core import shm
 from repro.core.bootstrap import bootstrap_interval_from_terms
-from repro.core.engine import evaluate_jsonl_chunked, use_backend
-from repro.core.estimators.ips import IPSEstimator
-from repro.core.policies import ConstantPolicy
-from repro.core.types import ActionSpace, Dataset, Interaction, RewardRange
-
-pytestmark = pytest.mark.skipif(
-    not shm.available(), reason="shared memory unavailable"
-)
+from repro.core.pool import BrokenProcessPool
 
 
-class KillerPolicy(ConstantPolicy):
-    """Kills the process on first batch — but only inside a worker.
-
-    The parent-side serial fallback therefore completes normally and
-    produces the reference result.
-    """
-
-    def probabilities_batch(self, batch):
-        if multiprocessing.parent_process() is not None:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return super().probabilities_batch(batch)
+def die(code):
+    """A task that kills the worker running it."""
+    os._exit(code)
 
 
-def make_dataset(n=150, seed=4):
-    rng = np.random.default_rng(seed)
-    rows = [
-        Interaction({"x": float(i), "y": float(rng.uniform())},
-                    int(rng.integers(0, 3)), float(rng.uniform()), 1 / 3,
-                    timestamp=float(i))
-        for i in range(n)
-    ]
-    return Dataset(rows, action_space=ActionSpace(3),
-                   reward_range=RewardRange(0.0, 1.0))
+def break_pool():
+    """Kill a pool worker so the live executor is broken."""
+    executor = worker_pool.get_pool(2)
+    with pytest.raises(BrokenProcessPool):
+        executor.submit(die, 3).result()
 
 
 @pytest.fixture(autouse=True)
@@ -62,71 +38,30 @@ def fresh_pool():
 
 
 class TestKilledWorker:
-    def test_shared_backend_falls_back_bit_identical(self):
-        dataset = make_dataset()
-        policy = KillerPolicy(1)
-        with use_backend("chunked", chunk_size=25):
-            ref = IPSEstimator().estimate(ConstantPolicy(1), dataset)
-        with pytest.warns(RuntimeWarning, match="worker pool died"):
-            with use_backend("shared", chunk_size=25, workers=2):
-                survived = IPSEstimator().estimate(policy, dataset)
-        assert survived.value == ref.value
-        assert survived.std_error == ref.std_error
-        dataset.columns().release_shared_block()
-        assert shm.owned_segments() == ()
-
-    def test_jsonl_driver_falls_back_bit_identical(self, tmp_path):
-        dataset = make_dataset(n=120, seed=6)
-        path = tmp_path / "log.jsonl"
-        dataset.save_jsonl(str(path))
-        serial = evaluate_jsonl_chunked(
-            str(path), [ConstantPolicy(1)], [IPSEstimator()],
-            chunk_size=20, workers=1,
-        )
-        with pytest.warns(RuntimeWarning, match="pool died"):
-            survived = evaluate_jsonl_chunked(
-                str(path), [KillerPolicy(1)], [IPSEstimator()],
-                chunk_size=20, workers=2,
-            )
-        assert survived.results[0][0].value == serial.results[0][0].value
-        assert (
-            survived.results[0][0].std_error
-            == serial.results[0][0].std_error
-        )
-        # Every one-shot chunk segment was released despite the crash.
-        assert shm.owned_segments() == ()
-
     def test_pool_is_usable_after_reset(self):
-        dataset = make_dataset(n=80, seed=7)
-        with pytest.warns(RuntimeWarning, match="worker pool died"):
-            with use_backend("shared", chunk_size=16, workers=2):
-                IPSEstimator().estimate(KillerPolicy(0), dataset)
-        # The reset pool serves the next parallel call as if nothing
-        # happened — same results as serial, no lingering breakage.
-        with use_backend("chunked", chunk_size=16):
-            ref = IPSEstimator().estimate(ConstantPolicy(0), dataset)
-        with use_backend("shared", chunk_size=16, workers=2):
-            again = IPSEstimator().estimate(ConstantPolicy(0), dataset)
-        assert again.value == ref.value
-        dataset.columns().release_shared_block()
+        break_pool()
+        worker_pool.reset_pool()
+        # The reset pool serves the next call as if nothing happened.
+        assert worker_pool.get_pool(2).submit(abs, -4).result() == 4
 
     def test_bootstrap_shards_survive_broken_pool(self):
-        # Poison the pool with a killed engine worker, then run a
-        # parallel bootstrap: it must reset and still match serial.
-        dataset = make_dataset(n=90, seed=8)
-        with pytest.warns(RuntimeWarning, match="worker pool died"):
-            with use_backend("shared", chunk_size=16, workers=2):
-                IPSEstimator().estimate(KillerPolicy(0), dataset)
-        dataset.columns().release_shared_block()
+        # Poison the pool with a killed worker, then run a parallel
+        # bootstrap: it must reset and still match serial.
         terms = np.random.default_rng(1).random(1200)
         serial = bootstrap_interval_from_terms(
             terms, seed=9, n_boot=512, workers=1
         )
-        parallel = bootstrap_interval_from_terms(
+        break_pool()
+        with pytest.warns(RuntimeWarning, match="worker pool died"):
+            parallel = bootstrap_interval_from_terms(
+                terms, seed=9, n_boot=512, workers=2
+            )
+        assert (parallel.low, parallel.high) == (serial.low, serial.high)
+        # The pool was reset, so the next parallel run succeeds.
+        again = bootstrap_interval_from_terms(
             terms, seed=9, n_boot=512, workers=2
         )
-        assert (parallel.low, parallel.high) == (serial.low, serial.high)
-        assert shm.owned_segments() == ()
+        assert (again.low, again.high) == (serial.low, serial.high)
 
 
 class TestPoolMechanics:

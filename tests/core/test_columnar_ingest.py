@@ -12,7 +12,8 @@ that must not change and what it must fix:
   :class:`~repro.core.features.Featurizer`, colliding names included;
 - estimates, standard errors, verdicts and bootstrap terms equal the
   ones the per-row implementation produced (``chunked_golden.json``)
-  at chunk sizes 1, 7, N and N+1, serially and with two workers;
+  at chunk sizes 1, 7, N and N+1, and the seeded bootstrap over those
+  terms gives the same interval serially and with two workers;
 - a log that grows, or ends in a torn line, is judged as one snapshot;
 - ledger bindings are checked on every backend.
 """
@@ -34,7 +35,9 @@ from repro.__main__ import main
 from repro.audit.ledger import ChainFollower
 from repro.chaos.corruption import LogCorruptor
 from repro.core import engine
+from repro.core.bootstrap import bootstrap_interval_from_terms
 from repro.core.columns import (
+    ColumnChunk,
     ColumnSpill,
     DatasetColumns,
     PackedContexts,
@@ -58,7 +61,7 @@ from repro.core.policies import (
     LinearThresholdPolicy,
     UniformRandomPolicy,
 )
-from repro.core.types import ActionSpace, Dataset, RewardRange
+from repro.core.types import ActionSpace, Dataset, Interaction, RewardRange
 from repro.core.validation import (
     ColumnarReader,
     Quarantine,
@@ -170,24 +173,24 @@ def golden_cases():
             yield mode, chunk_size
 
 
-def run_case(tmp_path, mode: str, chunk_size: int, workers: int) -> dict:
+def run_case(tmp_path, mode: str, chunk_size: int):
     path = (
         write_log(tmp_path / "log.jsonl")
         if mode == "strict"
         else write_corrupt_log(tmp_path)
     )
-    return summarize(evaluate_jsonl_chunked(
+    return evaluate_jsonl_chunked(
         path, golden_policies(), golden_estimators(),
-        chunk_size=chunk_size, workers=workers, mode=mode,
-        collect_terms=True,
-    ))
+        chunk_size=chunk_size, mode=mode, collect_terms=True,
+    )
 
 
 def record_golden(tmp_path) -> str:
-    """The golden file's text under the importable engine (serial runs)."""
+    """The golden file's text under the importable engine."""
     return "{\n" + ",\n".join(
         f"{json.dumps(f'{mode}/{size}')}: "
-        + json.dumps(run_case(tmp_path, mode, size, 1), sort_keys=True)
+        + json.dumps(summarize(run_case(tmp_path, mode, size)),
+                     sort_keys=True)
         for mode, size in golden_cases()
     ) + "\n}\n"
 
@@ -207,8 +210,17 @@ class TestGoldenEstimates:
     def test_matches_per_row_implementation(
         self, golden, tmp_path, mode, chunk_size, workers
     ):
-        got = run_case(tmp_path, mode, chunk_size, workers)
-        assert got == golden[f"{mode}/{chunk_size}"]
+        evaluation = run_case(tmp_path, mode, chunk_size)
+        assert summarize(evaluation) == golden[f"{mode}/{chunk_size}"]
+        # The seeded bootstrap is the one evaluation step that runs
+        # across processes; its interval must not depend on `workers`.
+        assert evaluation.terms
+        for terms in evaluation.terms.values():
+            serial = bootstrap_interval_from_terms(terms, seed=5, n_boot=300)
+            spread = bootstrap_interval_from_terms(
+                terms, seed=5, n_boot=300, workers=workers
+            )
+            assert (spread.low, spread.high) == (serial.low, serial.high)
 
     def test_golden_exercises_quarantine_and_diagnostics(self, golden):
         assert golden["quarantine/7"]["quarantine"]["n_rejected"] > 0
@@ -430,6 +442,23 @@ def colliding_names(featurizer, count=3):
     raise AssertionError("no collision found")
 
 
+def shuffled_key_dataset(n=60, seed=0):
+    """A small log whose rows list their context keys in two orders."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        if i % 2:
+            context = {"b": float(rng.uniform()), "a": float(i)}
+        else:
+            context = {"a": float(i), "b": float(rng.uniform())}
+        rows.append(Interaction(
+            context, int(rng.integers(0, 3)), float(rng.uniform()), 1 / 3,
+            timestamp=float(i),
+        ))
+    return Dataset(rows, action_space=ActionSpace(3),
+                   reward_range=RewardRange(0.0, 1.0))
+
+
 class TestPackedFeaturization:
     def test_hashed_matrix_equals_per_row_featurizer_with_collisions(self):
         featurizer = Featurizer(n_dims=8)
@@ -469,6 +498,51 @@ class TestPackedFeaturization:
     def test_pack_refuses_non_numbers(self):
         with pytest.raises(TypeError, match="not numeric"):
             PackedContexts.pack([{"a": True}])
+
+    def test_packed_contexts_slice_is_lazy_view(self):
+        dataset = shuffled_key_dataset(n=20)
+        packed = PackedContexts.pack(dataset.columns().contexts)
+        window = packed[5:10]
+        assert isinstance(window, PackedContexts)
+        assert np.shares_memory(window.values, packed.values)
+        assert len(window) == 5
+        assert window[0] == dataset[5].context
+        assert list(window[0]) == list(dataset[5].context)
+
+    def test_feature_paths_bit_identical(self):
+        dataset = shuffled_key_dataset()
+        columns = dataset.columns()
+        packed = DatasetColumns.from_chunk(
+            ColumnChunk(
+                columns.actions, columns.rewards, columns.propensities,
+                columns.timestamps, PackedContexts.pack(columns.contexts),
+            ),
+            dataset.action_space, dataset.reward_range,
+        )
+        featurizer = Featurizer(n_dims=16)
+        names = ("a", "b", "missing")
+        assert (packed.feature_matrix(names).tobytes()
+                == columns.feature_matrix(names).tobytes())
+        # Hashed featurization sums colliding slots in context
+        # iteration order — the order matrix must preserve it exactly.
+        assert (packed.hashed_matrix(featurizer).tobytes()
+                == columns.hashed_matrix(featurizer).tobytes())
+        assert packed.eligible_lists == columns.eligible_lists
+        for rebuilt, original in zip(packed.contexts, columns.contexts):
+            assert rebuilt == original
+            assert list(rebuilt) == list(original)
+
+    def test_ips_weights_memoized_per_policy(self):
+        columns = shuffled_key_dataset().columns()
+        policy = EpsilonGreedyPolicy(ConstantPolicy(0), 0.2)
+        first = columns.ips_weights(policy)
+        assert columns.ips_weights(policy) is first
+        other = columns.ips_weights(ConstantPolicy(1))
+        assert other is not first
+        np.testing.assert_array_equal(
+            first,
+            columns.logged_probabilities(policy) / columns.propensities,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +692,7 @@ class TestSnapshot:
         ).value == 5000
         assert values(grown) == values(clean)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_concurrent_appender(self, tmp_path, workers):
+    def test_concurrent_appender(self, tmp_path):
         path = write_log(tmp_path / "log.jsonl", n=4000, seed=6)
         rows = Path(write_log(tmp_path / "more.jsonl", n=4000, seed=7)
                     ).read_text(encoding="utf-8").splitlines(keepends=True)
@@ -640,7 +713,7 @@ class TestSnapshot:
         writer = threading.Thread(target=append)
         writer.start()
         try:
-            grown = evaluate(path, chunk_size=300, workers=workers)
+            grown = evaluate(path, chunk_size=300)
         finally:
             stop.set()
             writer.join(timeout=30)

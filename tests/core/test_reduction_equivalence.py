@@ -5,13 +5,9 @@ is a different *driver* over the same fold/merge/finalize kernel, so
 
 - scalar == vectorized == chunked for every estimator, at every chunk
   size (1, a prime, N, N+1), including diagnostics verdicts;
-- shared == chunked *bit-for-bit* at every chunk size and worker
-  count — parallel folding through shared memory must not move a
-  single ulp;
 - merging partial states is associative — any merge tree over any
   partition finalizes to the same result;
-- the out-of-core JSONL driver matches the in-memory backends, and its
-  parallel folding is bit-identical to serial;
+- the out-of-core JSONL driver matches the in-memory backends;
 - seeded bootstrap replicates are the same shards whether generated
   serially or across a worker pool.
 """
@@ -167,89 +163,6 @@ class TestBackendEquivalence:
         ]
 
 
-class TestSharedBackendEquivalence:
-    """shared == chunked bit-for-bit: same slices, different processes."""
-
-    WORKER_COUNTS = (1, 2, 4)
-
-    @staticmethod
-    def _assert_bit_identical(shared, ref, label):
-        __tracebackhide__ = True
-        # Bit-for-bit, not approx: the workers fold the same float64
-        # values through the same kernel in the same order.
-        assert shared.value == ref.value or (
-            np.isnan(shared.value) and np.isnan(ref.value)
-        ), label
-        assert shared.std_error == ref.std_error or (
-            np.isnan(shared.std_error) and np.isnan(ref.std_error)
-        ), label
-        assert shared.n == ref.n
-        assert shared.effective_n == ref.effective_n
-
-    @pytest.mark.parametrize("with_space", [True, False],
-                             ids=["action-space", "spaceless"])
-    def test_shared_bit_identical_to_chunked(self, with_space):
-        dataset = make_skewed_dataset(action_space=with_space)
-        policy = EpsilonGreedyPolicy(ConstantPolicy(2), 0.25)
-        # One plain-sum, one ratio, one model-based estimator cover the
-        # three state shapes crossing the shared segment.
-        estimators = [IPSEstimator(), SNIPSEstimator(),
-                      DoublyRobustEstimator()]
-        for chunk_size in CHUNK_SIZES:
-            for estimator in estimators:
-                with use_backend("chunked", chunk_size=chunk_size):
-                    ref = estimator.estimate(policy, dataset)
-                for workers in self.WORKER_COUNTS:
-                    with use_backend(
-                        "shared", chunk_size=chunk_size, workers=workers
-                    ):
-                        shared = estimator.estimate(policy, dataset)
-                    self._assert_bit_identical(
-                        shared, ref,
-                        (estimator.name, chunk_size, workers),
-                    )
-        dataset.columns().release_shared_block()
-
-    def test_shared_every_estimator_and_policy(self):
-        dataset = make_skewed_dataset()
-        for policy in all_policies():
-            for estimator in all_estimators():
-                with use_backend("chunked", chunk_size=64):
-                    ref = estimator.estimate(policy, dataset)
-                with use_backend("shared", chunk_size=64, workers=2):
-                    shared = estimator.estimate(policy, dataset)
-                self._assert_bit_identical(
-                    shared, ref, (estimator.name, policy.name)
-                )
-        dataset.columns().release_shared_block()
-
-    def test_shared_match_weights_identical(self):
-        dataset = make_skewed_dataset()
-        policy = EpsilonGreedyPolicy(ConstantPolicy(0), 0.1)
-        ips = IPSEstimator()
-        with use_backend("vectorized"):
-            ref = ips.match_weights(policy, dataset)
-        with use_backend("shared", chunk_size=7, workers=2):
-            shared = ips.match_weights(policy, dataset)
-        np.testing.assert_array_equal(ref, shared)
-
-    def test_shared_falls_back_when_disabled(self, monkeypatch):
-        # REPRO_NO_SHM is the kill switch: the shared backend must
-        # degrade to the serial chunked plan, results unchanged.
-        from repro.core import shm
-
-        dataset = make_skewed_dataset(n=97, seed=3)
-        policy = ConstantPolicy(1)
-        with use_backend("chunked", chunk_size=16):
-            ref = IPSEstimator().estimate(policy, dataset)
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert not shm.available()
-        with use_backend("shared", chunk_size=16, workers=2):
-            shared = IPSEstimator().estimate(policy, dataset)
-        assert shared.value == ref.value
-        assert shared.std_error == ref.std_error
-
-
 class TestMergeAssociativity:
     def _states(self, chunk_size):
         dataset = make_skewed_dataset()
@@ -340,30 +253,6 @@ class TestJsonlDriver:
                 assert_results_match(
                     evaluation.results[pi][ei], ref, rel=1e-8
                 )
-
-    def test_parallel_folding_bit_identical_to_serial(self, log_file):
-        path, _ = log_file
-        policies = [UniformRandomPolicy(), ConstantPolicy(1)]
-        estimators = [IPSEstimator(), SNIPSEstimator(),
-                      DoublyRobustEstimator()]
-        serial = evaluate_jsonl_chunked(
-            path, policies, estimators, chunk_size=32, workers=1,
-            collect_terms=True,
-        )
-        parallel = evaluate_jsonl_chunked(
-            path, policies, estimators, chunk_size=32, workers=3,
-            collect_terms=True,
-        )
-        for pi in range(len(policies)):
-            for ei in range(len(estimators)):
-                a = serial.results[pi][ei]
-                b = parallel.results[pi][ei]
-                assert a.value == b.value  # bit-for-bit, not approx
-                assert a.std_error == b.std_error
-        key = (policies[0].name, "ips")
-        np.testing.assert_array_equal(
-            serial.terms[key], parallel.terms[key]
-        )
 
     def test_collected_terms_match_weighted_rewards(self, log_file):
         path, _ = log_file
@@ -458,13 +347,13 @@ class TestBackendScopeHygiene:
         reset_backend_warnings()
 
     def test_use_backend_scopes_chunk_options(self):
-        from repro.core.engine import get_chunk_size, get_workers
+        from repro.core.engine import get_chunk_size, get_default_backend
 
-        before = (get_chunk_size(), get_workers())
-        with use_backend("chunked", chunk_size=17, workers=3):
+        before = (get_default_backend(), get_chunk_size())
+        with use_backend("chunked", chunk_size=17):
             assert get_chunk_size() == 17
-            assert get_workers() == 3
-        assert (get_chunk_size(), get_workers()) == before
+            assert get_default_backend() == "chunked"
+        assert (get_default_backend(), get_chunk_size()) == before
 
 
 class TestStreamingOnKernel:

@@ -116,30 +116,3 @@ class TestAddressSpaceCap:
             chunked.stdout.splitlines()[1:]
             == vectorized.stdout.splitlines()[1:]
         )
-
-    def test_parallel_chunked_stays_o_chunk_under_the_cap(self, big_log):
-        # With workers the parent additionally packs in-flight chunks
-        # into shared segments; residency must stay O(workers × chunk),
-        # not O(log) — the same 384 MB cap that kills the whole-log
-        # path must accommodate parallel folding with segments mapped.
-        result = run_evaluate(
-            big_log, "chunked", cap_bytes=CAP_BYTES,
-            extra=("--chunk-size", "8192", "--workers", "2"),
-        )
-        assert result.returncode == 0, result.stderr[-2000:]
-        assert f"({N_ROWS} interactions" in result.stdout
-
-    def test_parallel_chunked_matches_serial_chunked(self, big_log):
-        serial = run_evaluate(
-            big_log, "chunked", extra=("--chunk-size", "8192"),
-        )
-        parallel = run_evaluate(
-            big_log, "chunked", cap_bytes=CAP_BYTES,
-            extra=("--chunk-size", "8192", "--workers", "2"),
-        )
-        assert serial.returncode == 0, serial.stderr[-2000:]
-        assert parallel.returncode == 0, parallel.stderr[-2000:]
-        assert (
-            serial.stdout.splitlines()[1:]
-            == parallel.stdout.splitlines()[1:]
-        )

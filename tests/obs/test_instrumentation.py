@@ -2,9 +2,10 @@
 
 Two properties matter: (1) estimates are bit-identical with tracing on
 vs off — observation must not perturb the computation; (2) an
-instrumented chunked + parallel-bootstrap run produces a span tree
-covering validation, every chunk fold, and every bootstrap shard, with
-metric totals that reconcile against the run's own counts.
+instrumented chunked run with a parallel bootstrap produces a span tree
+covering validation, every chunk fold, and every bootstrap shard
+(shipped home from the pool workers), with metric totals that
+reconcile against the run's own counts.
 """
 
 import math
@@ -47,7 +48,7 @@ class TestObservationNeutrality:
         path = str(tmp_path / "log.jsonl")
         make_uniform_dataset(300, seed=9).save_jsonl(path)
         policies = [UniformRandomPolicy(), ConstantPolicy(0)]
-        kwargs = dict(chunk_size=64, workers=1)
+        kwargs = dict(chunk_size=64)
         plain = evaluate_jsonl_chunked(
             path, policies, [IPSEstimator()], **kwargs
         )
@@ -70,7 +71,7 @@ class TestObservationNeutrality:
 
 
 class TestAcceptanceRun:
-    """Chunked + parallel bootstrap with full instrumentation on."""
+    """Chunked run + parallel bootstrap with full instrumentation on."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
@@ -92,7 +93,6 @@ class TestAcceptanceRun:
                 [UniformRandomPolicy(), ConstantPolicy(1)],
                 [IPSEstimator()],
                 chunk_size=128,
-                workers=2,
                 mode="quarantine",
                 collect_terms=True,
             )
@@ -117,8 +117,8 @@ class TestAcceptanceRun:
         assert counts["evaluate.validation"] == 1
         assert counts["evaluate.fold"] == 1
         assert counts["evaluate.finalize"] == 1
-        # Every chunk fold and every bootstrap shard landed a span even
-        # though both ran across a process pool.
+        # Every chunk fold landed a span, and so did every bootstrap
+        # shard although the shards ran across a process pool.
         assert counts["evaluate.chunk"] == evaluation.n_chunks
         expected_shards = math.ceil(n_boot / BOOTSTRAP_SHARD)
         assert counts["bootstrap.shard"] == expected_shards
@@ -126,14 +126,17 @@ class TestAcceptanceRun:
 
     def test_worker_spans_are_nested_under_the_fold(self, run):
         _evaluation, _interval, tracer, _metrics, _n_boot = run
-        paths = [path for path, _ in flatten_spans(tracer.span_tree())]
+        spans = list(flatten_spans(tracer.span_tree()))
+        paths = [path for path, _ in spans]
         assert any(
             path.endswith("evaluate.fold/evaluate.chunk") for path in paths
         )
-        assert any(
-            path.endswith("bootstrap.replicates/bootstrap.shard")
-            for path in paths
-        )
+        shards = [
+            span for path, span in spans
+            if path.endswith("bootstrap.replicates/bootstrap.shard")
+        ]
+        assert shards
+        assert all(span["attributes"].get("worker") for span in shards)
 
     def test_metrics_reconcile_with_run_counts(self, run):
         evaluation, _interval, _tracer, metrics, n_boot = run

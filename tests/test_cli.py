@@ -86,6 +86,8 @@ class TestEvaluateSubcommand:
         assert "4 chunks" in out  # 200 rows / 64 per chunk
 
     def test_chunked_workers_match_serial(self, log_path, capsys):
+        # --workers drives only the seeded bootstrap: the estimates and
+        # the intervals must not move with it.
         args = [
             log_path,
             "--backend", "chunked",
@@ -93,11 +95,31 @@ class TestEvaluateSubcommand:
             "--policy", "constant:1",
             "--estimator", "ips",
             "--estimator", "dr",
+            "--bootstrap", "300",
+            "--seed", "5",
         ]
         code_1, out_1 = self._run(args + ["--workers", "1"], capsys)
         code_2, out_2 = self._run(args + ["--workers", "2"], capsys)
         assert code_1 == code_2 == 0
+        assert "bootstrap[ips, n_boot=300, seed=5]" in out_1
         assert out_1 == out_2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "--workers must be >= 1"),
+        ("--workers", "-2", "--workers must be >= 1"),
+        ("--chunk-size", "0", "--chunk-size must be >= 1"),
+        ("--bootstrap", "5", "--bootstrap must be 0 (off) or >= 10"),
+        ("--bootstrap", "-3", "--bootstrap must be 0 (off) or >= 10"),
+    ])
+    def test_rejects_bad_numeric_flags(
+        self, log_path, capsys, flag, value, message
+    ):
+        code = main(["evaluate", log_path, "--backend", "chunked",
+                     flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == f"error: {message}"
+        assert captured.out == ""
 
     def test_default_backend_restored_after_run(self, log_path, capsys):
         from repro.core.engine import get_default_backend, set_default_backend

@@ -7,14 +7,13 @@ import pytest
 from benchmarks.perf.gate import check_regressions, main
 
 
-def artifact(single=2.9, klass=90.0, chunked=4.0, shared=0.4, boot=0.5,
+def artifact(single=2.9, klass=90.0, chunked=4.0, boot=0.5,
              instr=1.0, harvest=(25.0, 60.0, 13.0), ledger=0.95,
              obs=0.95, serve=75_000.0):
     return {
         "single_policy_ips": {"speedup": single},
         "class_search": {"speedup": klass},
         "chunked": {"relative_throughput": chunked},
-        "shared": {"relative_throughput": shared},
         "bootstrap": {"parallel_speedup": boot},
         "instrumentation": {"relative_throughput": instr},
         "harvest": {
