@@ -53,6 +53,7 @@ __all__ = [
     "ChainFollower",
     "ChainIssue",
     "ChainVerification",
+    "ChainWalk",
     "DecisionLedger",
     "LedgerEntry",
     "StreamingLedgerWriter",
@@ -720,6 +721,91 @@ class ChainFollower:
         return gap
 
 
+class ChainWalk:
+    """The incremental state of one :func:`verify_records` walk.
+
+    :meth:`feed` takes one ``(line_number, record)`` pair together with
+    the record's binding defects from :meth:`ChainFollower.check` —
+    computed by the caller, so several walks over the same records
+    (the whole log and each shard of it) can share one check per
+    record — and keeps only the chain linkage, the open segment and
+    the tallies.  :meth:`finish` returns the
+    :class:`ChainVerification`.
+    """
+
+    def __init__(
+        self,
+        expected_head: Optional[str] = None,
+        genesis: str = GENESIS,
+        expected_n: Optional[int] = None,
+    ) -> None:
+        self.follower = ChainFollower(genesis=genesis)
+        self.result = ChainVerification(
+            n=0,
+            n_ledgered=0,
+            head=None,
+            expected_head=expected_head,
+            expected_n=expected_n,
+        )
+        self._segment_start: Optional[int] = None
+        self._segment_n = 0
+        self._last_line = 0
+
+    def _close_segment(self, stop_line: int) -> None:
+        if self._segment_start is not None and self._segment_n > 0:
+            self.result.segments.append(
+                {
+                    "start_line": self._segment_start,
+                    "stop_line": stop_line,
+                    "n": self._segment_n,
+                    "head": self.follower.head,
+                }
+            )
+        self._segment_start = None
+        self._segment_n = 0
+
+    def feed(
+        self, line_number: int, record: Mapping, issues: Sequence[Tuple[str, str]]
+    ) -> None:
+        """Advance past one record whose binding defects are ``issues``."""
+        result = self.result
+        follower = self.follower
+        result.n += 1
+        self._last_line = line_number
+        meta = follower.metadata_of(record)
+        if meta is None and not issues:
+            return
+        gap = follower.observe(record) if meta is not None else False
+        if meta is not None:
+            result.n_ledgered += 1
+        if issues:
+            for reason, detail in issues:
+                result.issues.append(ChainIssue(line_number, reason, detail))
+            self._close_segment(line_number - 1)
+            return
+        if gap:
+            detail = (
+                f"prev does not match the genesis anchor — leading "
+                f"record(s) deleted? (ordinal {meta['ordinal']})"
+                if follower.n_ledgered == 1
+                else f"prev does not match the previous record's hash "
+                f"(ordinal {meta['ordinal']})"
+            )
+            result.gaps.append(ChainIssue(line_number, "ledger-gap", detail))
+            self._close_segment(line_number - 1)
+        if self._segment_start is None:
+            self._segment_start = line_number
+        self._segment_n += 1
+
+    def finish(self) -> ChainVerification:
+        """Close the open segment and return the verification."""
+        self._close_segment(self._last_line)
+        follower = self.follower
+        self.result.head = follower.head if follower.engaged else None
+        self.result.n_ledgered = follower.n_ledgered
+        return self.result
+
+
 def verify_records(
     records: Iterable[Tuple[int, Mapping]],
     expected_head: Optional[str] = None,
@@ -743,67 +829,11 @@ def verify_records(
     manifest's ``ledger.n``) additionally pins the ledgered record
     count.
     """
-    follower = ChainFollower(genesis=genesis)
-    result = ChainVerification(
-        n=0,
-        n_ledgered=0,
-        head=None,
-        expected_head=expected_head,
-        expected_n=expected_n,
-    )
-    segment_start: Optional[int] = None
-    segment_n = 0
-    last_line = 0
-
-    def close_segment(stop_line: int) -> None:
-        nonlocal segment_start, segment_n
-        if segment_start is not None and segment_n > 0:
-            result.segments.append(
-                {
-                    "start_line": segment_start,
-                    "stop_line": stop_line,
-                    "n": segment_n,
-                    "head": follower.head,
-                }
-            )
-        segment_start = None
-        segment_n = 0
-
+    walk = ChainWalk(expected_head, genesis, expected_n)
+    check = walk.follower.check
     for line_number, record in records:
-        result.n += 1
-        last_line = line_number
-        issues = follower.check(record)
-        meta = follower.metadata_of(record)
-        if meta is None and not issues:
-            continue
-        gap = follower.observe(record) if meta is not None else False
-        if meta is not None:
-            result.n_ledgered += 1
-        binding_broken = bool(issues)
-        if binding_broken:
-            for reason, detail in issues:
-                result.issues.append(ChainIssue(line_number, reason, detail))
-            close_segment(line_number - 1)
-            continue
-        if gap:
-            detail = (
-                f"prev does not match the genesis anchor — leading "
-                f"record(s) deleted? (ordinal {meta['ordinal']})"
-                if follower.n_ledgered == 1
-                else f"prev does not match the previous record's hash "
-                f"(ordinal {meta['ordinal']})"
-            )
-            result.gaps.append(
-                ChainIssue(line_number, "ledger-gap", detail)
-            )
-            close_segment(line_number - 1)
-        if segment_start is None:
-            segment_start = line_number
-        segment_n += 1
-    close_segment(last_line)
-    result.head = follower.head if follower.engaged else None
-    result.n_ledgered = follower.n_ledgered
-    return result
+        walk.feed(line_number, record, check(record))
+    return walk.finish()
 
 
 def _jsonl_records(path: str) -> Iterator[Tuple[int, Mapping]]:

@@ -21,23 +21,26 @@ bookkeeping:
   harvest, recording the per-shard ``prev``/``head`` boundary hashes
   (the shard map published in the run manifest);
 - :func:`verify_sharded_jsonl` walks a sharded log the way
-  ``repro verify-ledger --manifest`` needs to: each shard verified in
-  isolation against its recorded ``prev``/``head``/``n`` (so
-  ``count_mismatch`` pins to a shard), then the splice anchoring,
-  then the whole chain end to end.
+  ``repro verify-ledger --manifest`` needs to, in one pass: each shard
+  verified in isolation against its recorded ``prev``/``head``/``n``
+  (so ``count_mismatch`` pins to a shard), the splice anchoring, and
+  the whole chain end to end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.audit.ledger import (
     GENESIS,
+    ChainFollower,
     ChainVerification,
+    ChainWalk,
     DecisionLedger,
     entry_hash,
-    verify_records,
 )
 from repro.audit.ledger import _jsonl_records
 from repro.audit.streams import StreamKey
@@ -349,26 +352,38 @@ def verify_sharded_records(
     contiguity, head-to-prev linkage, final head vs the spliced
     head), and the whole chain is walked end to end.
 
-    Materializes the record list (O(file) memory) — the per-shard
-    pass needs routed groups; sharded logs verified here are run
-    artifacts, not out-of-core datasets.
+    One pass over the records in O(shards) memory: each record's
+    binding is checked once, and the same defects feed the overall
+    walk and the walk of the record's shard.
     """
-    from repro.audit.ledger import ChainFollower
-
-    records = list(records)
     ordered = sorted(shards, key=lambda shard: int(shard["start"]))
-    overall = verify_records(
-        iter(records),
-        expected_head=expected_head,
-        genesis=genesis,
-        expected_n=expected_n,
-    )
+    overall = ChainWalk(expected_head, genesis, expected_n)
+    walks = [
+        ChainWalk(str(shard["head"]), str(shard["prev"]), int(shard["n"]))
+        for shard in ordered
+    ]
     splice_issues = _splice_geometry_issues(ordered, genesis, expected_head)
-
-    grouped: dict[int, list] = {position: [] for position in range(len(ordered))}
     starts = [int(shard["start"]) for shard in ordered]
-    stops = [int(shard["start"]) + int(shard["n"]) for shard in ordered]
+    # reach[k] is the furthest stop among shards 0..k, so the first
+    # shard (in start order) whose range holds an ordinal is the first
+    # with reach > ordinal — one bisection, even for an overlapping map.
+    reach = list(
+        accumulate(
+            (start + int(shard["n"]) for start, shard in zip(starts, ordered)),
+            max,
+        )
+    )
+
+    def shard_of(ordinal: int) -> Optional[int]:
+        position = bisect_right(reach, ordinal)
+        if position < len(starts) and starts[position] <= ordinal:
+            return position
+        return None
+
+    check = overall.follower.check
     for line_number, record in records:
+        issues = check(record)
+        overall.feed(line_number, record, issues)
         meta = ChainFollower.metadata_of(record)
         if meta is None or "ordinal" not in meta:
             continue
@@ -376,24 +391,19 @@ def verify_sharded_records(
             ordinal = int(meta["ordinal"])
         except (TypeError, ValueError):
             continue
-        for position, (start, stop) in enumerate(zip(starts, stops)):
-            if start <= ordinal < stop:
-                grouped[position].append((line_number, record))
-                break
-        else:
+        position = shard_of(ordinal)
+        if position is None:
             splice_issues.append(
                 f"line {line_number}: ledgered ordinal {ordinal} falls "
                 f"outside every manifest shard"
             )
+        else:
+            walks[position].feed(line_number, record, issues)
 
-    result = ShardedVerification(overall=overall, splice_issues=splice_issues)
-    for position, shard in enumerate(ordered):
-        verification = verify_records(
-            iter(grouped[position]),
-            expected_head=str(shard["head"]),
-            genesis=str(shard["prev"]),
-            expected_n=int(shard["n"]),
-        )
+    result = ShardedVerification(
+        overall=overall.finish(), splice_issues=splice_issues
+    )
+    for position, (shard, walk) in enumerate(zip(ordered, walks)):
         result.shards.append(
             {
                 "index": int(shard.get("index", position)),
@@ -401,7 +411,7 @@ def verify_sharded_records(
                 "n": int(shard["n"]),
                 "prev": str(shard["prev"]),
                 "head": str(shard["head"]),
-                "verification": verification,
+                "verification": walk.finish(),
             }
         )
     return result

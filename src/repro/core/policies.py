@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.columns import as_decision_batch, loop_probabilities
 from repro.core.engine import warn_missing_batch
 from repro.core.types import Context
+from repro.simsys.random_source import choice_index
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.columns import ContextColumns, DatasetColumns, EligibleSpec
@@ -111,7 +112,7 @@ class Policy(ABC):
     ) -> tuple[int, float]:
         """Sample an action; return ``(action, propensity)``."""
         probs = self.distribution(context, actions)
-        index = int(rng.choice(len(actions), p=probs))
+        index = choice_index(rng, len(actions), probs)
         return actions[index], float(probs[index])
 
     def action(self, context: Context, actions: Sequence[int]) -> int:

@@ -22,6 +22,7 @@ from repro.core.policies import (
     sample_from_probabilities,
 )
 from repro.core.types import Context
+from repro.simsys.random_source import choice_index
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.columns import ContextColumns, DatasetColumns, EligibleSpec
@@ -270,7 +271,7 @@ def window_randomized_weights_policy(
                 state["remaining"] = window
             state["remaining"] -= 1
             probs = self.distribution(context, actions)
-            index = int(rng.choice(len(actions), p=probs))
+            index = choice_index(rng, len(actions), probs)
             return actions[index], float(probs[index])
 
         def act_batch(

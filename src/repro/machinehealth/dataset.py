@@ -51,14 +51,30 @@ DEFAULT_ACTION = len(WAIT_TIMES) - 1
 DOWNTIME_CAP = 600.0
 
 
-def _build_encoder(events: list[FailureEvent]) -> FeatureEncoder:
+def _build_encoder(records: list[dict]) -> FeatureEncoder:
     encoder = FeatureEncoder(
         categorical=["hardware_sku", "os_version", "failure_kind"],
         numeric=["age_years", "n_vms", "prior_failures"],
         standardize=True,
     )
-    encoder.fit([event.context_record() for event in events])
+    encoder.fit(records)
     return encoder
+
+
+def _capped_downtimes(events: list[FailureEvent]) -> np.ndarray:
+    """``(len(events), len(WAIT_TIMES))`` downtimes, capped at the range.
+
+    Row ``i`` is ``[min(d, DOWNTIME_CAP) for d in
+    events[i].downtime_profile()]`` bit for bit: the same IEEE
+    comparisons, sums and products as :meth:`FailureEvent.downtime`,
+    one array operation each.
+    """
+    recovery = np.array([event.recovery_minutes for event in events])[:, None]
+    reboot = np.array([event.reboot_minutes for event in events])[:, None]
+    n_vms = np.array([event.machine.n_vms for event in events], dtype=np.float64)
+    waits = np.asarray(WAIT_TIMES, dtype=np.float64)
+    raw = np.where(recovery <= waits, recovery, waits + reboot)
+    return np.minimum(raw * n_vms[:, None], DOWNTIME_CAP)
 
 
 @dataclass
@@ -95,25 +111,34 @@ def build_full_feedback_dataset(
     events = generate_failures(
         machines, n_events, randomness.child("failures"), model or DowntimeModel()
     )
-    encoder = _build_encoder(events)
+    # Incidents repeat (machine, failure kind) pairs: build each raw
+    # record and its encoding once, and copy the context per row.
+    keys = [(id(event.machine), event.failure_kind) for event in events]
+    records: dict = {}
+    for key, event in zip(keys, events):
+        if key not in records:
+            records[key] = event.context_record()
+    encoder = _build_encoder([records[key] for key in keys])
+    contexts = {key: encoder.encode(record) for key, record in records.items()}
     dataset = Dataset(
         action_space=ActionSpace(
             len(WAIT_TIMES), labels=[f"wait-{w}min" for w in WAIT_TIMES]
         ),
         reward_range=RewardRange(0.0, DOWNTIME_CAP, maximize=False),
     )
-    for index, event in enumerate(events):
-        profile = [min(d, DOWNTIME_CAP) for d in event.downtime_profile()]
-        dataset.append(
-            Interaction(
-                context=encoder.encode(event.context_record()),
-                action=DEFAULT_ACTION,
-                reward=profile[DEFAULT_ACTION],
-                propensity=1.0,  # the default policy is deterministic
-                timestamp=float(index),
-                full_rewards=profile,
-            )
+    dataset.extend(
+        Interaction(
+            context=dict(contexts[key]),
+            action=DEFAULT_ACTION,
+            reward=profile[DEFAULT_ACTION],
+            propensity=1.0,  # the default policy is deterministic
+            timestamp=float(index),
+            full_rewards=profile,
         )
+        for index, (key, profile) in enumerate(
+            zip(keys, _capped_downtimes(events).tolist())
+        )
+    )
     return MachineHealthDataset(full=dataset, events=events, encoder=encoder)
 
 

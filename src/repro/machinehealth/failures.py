@@ -154,8 +154,10 @@ def generate_failures(
     weights = [1.0 + m.prior_failures + m.age_years / 2.0 for m in machines]
     total = sum(weights)
     probabilities = [w / total for w in weights]
-    events = []
-    for _ in range(n_events):
-        machine = pick_rng.choice(machines, p=probabilities)
-        events.append(model.sample_event(machine, event_rng))
-    return events
+    # ``which-machine`` feeds only these picks, and a size-n draw takes
+    # its uniforms in the order n scalar draws would: one call, same
+    # machines as picking per event.
+    picks = pick_rng.generator.choice(len(machines), size=n_events, p=probabilities)
+    return [
+        model.sample_event(machines[index], event_rng) for index in picks.tolist()
+    ]
