@@ -1,10 +1,10 @@
 """Property-based tests for audit stream derivation.
 
-The property the HKDF scheme buys over the legacy CRC32 mix: derived
-keys are collision-free in practice for *any* pair of distinct stream
-identities, not just the ones we happen to use.  The CRC32 mix fails
-this concretely — ``crc32(b"plumless") == crc32(b"buckeroo")`` — so
-two siblings with those names share one RNG stream.
+The property the HKDF scheme buys over the CRC32 mix it replaced:
+derived keys are collision-free in practice for *any* pair of distinct
+stream identities, not just the ones we happen to use.  The CRC32 mix
+failed this concretely — ``crc32(b"plumless") == crc32(b"buckeroo")``
+— so two siblings with those names shared one RNG stream.
 """
 
 import zlib
@@ -63,23 +63,27 @@ class TestDerivationInjectivity:
         assert nested.seed != flat.seed
 
 
+#: Two child names whose CRC32 collide; under the old CRC32 mix the
+#: siblings ``child("plumless")`` and ``child("buckeroo")`` were one stream.
+CRC32_COLLIDING_NAMES = ("plumless", "buckeroo")
+
+
 class TestLegacyCollisionWitness:
     def test_crc32_collides_on_known_pair(self):
-        assert zlib.crc32(b"plumless") == zlib.crc32(b"buckeroo")
-
-    def test_legacy_derivation_aliases_streams(self):
-        root = RandomSource(42, derivation="legacy")
-        assert root.child("plumless").seed == root.child("buckeroo").seed
+        first, second = CRC32_COLLIDING_NAMES
+        assert zlib.crc32(first.encode()) == zlib.crc32(second.encode())
 
     def test_hkdf_derivation_separates_them(self):
         root = RandomSource(42)
-        assert root.child("plumless").seed != root.child("buckeroo").seed
+        first, second = CRC32_COLLIDING_NAMES
+        assert root.child(first).seed != root.child(second).seed
 
     @given(st.integers(min_value=0, max_value=2**62))
     @settings(max_examples=50, deadline=None)
     def test_hkdf_separates_for_every_parent_seed(self, seed):
         root = RandomSource(seed)
-        assert root.child("plumless").seed != root.child("buckeroo").seed
+        first, second = CRC32_COLLIDING_NAMES
+        assert root.child(first).seed != root.child(second).seed
 
 
 class TestLedgerCanonicality:
